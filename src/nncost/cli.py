@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .bundled import default_profile_text
-from .errors import CostModelError, EnumerationLimitError
+from .errors import CostModelError
 from .graph import DEFAULT_ENUMERATION_LIMIT, all_topological_orders, infer_shapes, parse_model
 from .hwprofile import load_profile
 from .liveness import peak_activation
@@ -31,6 +31,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit with code 3 when the model exceeds the target budgets",
     )
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT,
-                   help="enumeration cap for --order min-peak")
+    p.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT,
+                   help="cap on search states for --order min-peak (exact DP; "
+                        "refuses rather than approximates)")
 
     p = sub.add_parser("compare", help="compare several models on one target")
     p.add_argument("models", nargs="+", help="model JSON files (at least 2)")
@@ -71,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orders", help="list all execution orders by peak memory")
     p.add_argument("model", help="model JSON file")
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT)
+    p.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT,
+                   help="cap on orders listed (refuses rather than truncates)")
     p.add_argument("--no-inplace", dest="in_place", action="store_false")
 
     p = sub.add_parser("validate", help="check that a model parses and infers shapes")
@@ -165,9 +177,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_orders(args)
         if args.command == "validate":
             return _cmd_validate(args)
-    except EnumerationLimitError as e:
-        print(f"nncost: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except CostModelError as e:
         print(f"nncost: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -30,4 +30,5 @@ class ComparisonError(CostModelError):
 
 
 class EnumerationLimitError(CostModelError):
-    """A graph has more topological orders than the caller allowed."""
+    """A graph has more topological orders or min-peak search states than
+    the caller allowed."""

@@ -17,6 +17,7 @@ The flag ``in_place`` turns this off everywhere it appears.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .errors import EnumerationLimitError
 from .graph import (
@@ -24,8 +25,8 @@ from .graph import (
     Graph,
     OpKind,
     ShapeMap,
-    all_topological_orders,
     check_order,
+    default_order,
 )
 from .hwprofile import HwProfile
 from .metrics import total_params
@@ -178,30 +179,131 @@ def min_peak_order(
     limit: int = DEFAULT_ENUMERATION_LIMIT,
     in_place: bool = True,
 ) -> tuple[tuple[str, ...], int]:
-    """Exhaustively search all topological orders for the minimal peak.
+    """Exact minimal-peak execution order, by dynamic programming over
+    executed-node sets (Liberis & Lane, arXiv:1910.05110).
 
-    Returns the first order in enumeration sequence achieving the
-    minimum.  Exhaustive only: raises EnumerationLimitError beyond
-    ``limit`` orders rather than returning an approximate answer
-    labeled as a minimum.
+    While node v runs after the set S has run, the live tensors are v's
+    output plus every tensor produced so far that a node outside S, or
+    the graph's outputs, still needs.  The step's bytes thus depend only
+    on (S, v), and the smallest peak of the remaining steps is
+    f(S) = min over ready v of max(step(S, v), f(S + v)), with f(all) = 0.
+
+    Returns the lexicographically smallest order reaching f(empty), which
+    is the first minimal order in enumeration sequence.  Exact only:
+    raises EnumerationLimitError once more than ``limit`` distinct
+    executed sets (counting the empty and the full set) are reached,
+    rather than returning an approximate answer labeled as a minimum.
     """
-    try:
-        orders = all_topological_orders(g, limit)
-    except EnumerationLimitError:
-        raise EnumerationLimitError(
-            f"graph '{g.name}' has more than {limit} topological orders; "
-            "min-peak search is exhaustive-only, use default_order"
-        ) from None
-    best_order: tuple[str, ...] | None = None
-    best_peak = -1
-    for order in orders:
-        peak = peak_activation(g, shapes, order, in_place).peak_bytes
-        if best_order is None or peak < best_peak:
-            best_order = order
-            best_peak = peak
-    if best_order is None:  # empty graph
+    names = sorted(n.name for n in g.nodes)
+    n = len(names)
+    if not n:
         return ((), 0)
-    return (best_order, best_peak)
+    # Nodes are numbered in name order, so sorted ids are sorted names;
+    # graph inputs follow them in the tensor numbering.
+    tid = {name: i for i, name in enumerate(names)}
+    for gi in g.inputs:
+        tid[gi.name] = len(tid)
+    tensors = list(tid)
+    out_set = set(g.outputs)
+    aliased = inplace_aliases(g) if in_place else {}
+    size = [shapes[t].byte_size for t in tensors]
+    # Distinct consumers of each tensor and distinct producers of each
+    # node that have not run yet; updated along the search path.
+    left = [len(set(g.consumers(t))) for t in tensors]
+    indeg = [0] * n
+    ins: list[tuple[int, ...]] = [()] * n
+    deps: list[list[int]] = [[] for _ in range(n)]
+    for node in g.nodes:
+        v = tid[node.name]
+        ins[v] = tuple({tid[t] for t in node.inputs})
+        for t in ins[v]:
+            if t < n:
+                deps[t].append(v)
+                indeg[v] += 1
+    # Bytes a step adds on top of the live set (an in-place output shares
+    # its input's buffer, and has its shape and dtype), bytes its output
+    # keeps live afterwards, and bytes a tensor releases when its last
+    # consumer has run.
+    extra = [0 if t in aliased else size[v] for v, t in enumerate(names)]
+    kept = [size[v] if (left[v] or t in out_set) else 0 for v, t in enumerate(names)]
+    freed = [0 if t in out_set else size[k] for k, t in enumerate(tensors)]
+    live0 = sum(size[k] for k in range(n, len(tensors)) if left[k] or tensors[k] in out_set)
+
+    # A state is keyed by its sorted ready set: the nodes that have not
+    # run are exactly the ready ones and everything downstream of them.
+    # Frames: [ready, live bytes, next move index, best peak, moves].
+    root = tuple(v for v in range(n) if not indeg[v])
+    best: dict[tuple[int, ...], int] = {}
+    moves: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+    stack: list[list] = [[root, live0, 0, inf, []]]
+    states = 1
+    while True:
+        top = stack[-1]
+        ready, live, i, peak, mv = top
+        if i == len(ready):
+            # every move from this state is explored
+            if not ready and len(stack) <= n:
+                default_order(g)  # raises ValidationError naming the cycle
+            best[ready] = peak
+            moves[ready] = mv
+            stack.pop()
+            if not stack:
+                break
+            nxt, fn = ready, peak
+            top = stack[-1]
+            ready, live, i, peak, mv = top
+            v = ready[i - 1]
+        else:
+            v = ready[i]
+            top[2] = i + 1
+            nxt_live = live + kept[v]
+            for t in ins[v]:
+                left[t] -= 1
+                if not left[t]:
+                    nxt_live -= freed[t]
+            new = []
+            for d in deps[v]:
+                indeg[d] -= 1
+                if not indeg[d]:
+                    new.append(d)
+            nxt = ready[:i] + ready[i + 1 :]
+            if new:
+                new.extend(nxt)
+                new.sort()
+                nxt = tuple(new)
+            fn = best.get(nxt)
+            if fn is None:
+                states += 1
+                if states > limit:
+                    raise EnumerationLimitError(
+                        f"graph '{g.name}' needs more than {limit} min-peak search "
+                        "states; min-peak search is exact-only, use default_order"
+                    )
+                stack.append([nxt, nxt_live, 0, inf if nxt else 0, []])
+                continue
+        # record the move v (ready -> nxt), then undo it
+        step = live + extra[v]
+        mv.append((v, step, nxt))
+        cost = step if step > fn else fn
+        if cost < peak:
+            top[3] = cost
+        for t in ins[v]:
+            left[t] += 1
+        for d in deps[v]:
+            indeg[d] += 1
+
+    # The smallest-named move that keeps the optimum at every step gives
+    # the lexicographically smallest optimal order.
+    opt = best[root]
+    order: list[str] = []
+    cur = root
+    while cur:
+        for v, step, nxt in moves[cur]:
+            if step <= opt and best[nxt] <= opt:
+                order.append(names[v])
+                cur = nxt
+                break
+    return (tuple(order), opt)
 
 
 def memory_footprint(

@@ -243,6 +243,18 @@ def test_missing_argument_is_usage_error(capsys):
     assert rc == 64
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+@pytest.mark.parametrize("command", ["analyze", "orders"])
+def test_limit_must_be_positive(capsys, command, limit):
+    rc = main([command, fixture("diamond.json"), f"--limit={limit}"])
+    out, err = capsys.readouterr()
+    assert rc == 64
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"nncost {command}: error: argument --limit: must be at least 1, got {int(limit)}"
+    )
+
+
 def test_bundled_models_all_validate(tmp_path, capsys):
     from nncost.bundled import model_names
 

@@ -9,6 +9,9 @@ import pytest
 from nncost import (
     DType,
     EnumerationLimitError,
+    Graph,
+    TensorInfo,
+    TensorShape,
     ValidationError,
     check_fit,
     default_order,
@@ -19,6 +22,7 @@ from nncost import (
     min_peak_order,
     peak_activation,
 )
+from nncost.graph import check_order
 from nncost.liveness import FootprintReport
 
 from builders import (
@@ -33,7 +37,7 @@ from builders import (
     maxpool,
     relu,
 )
-from oracles import random_dag, simulate_live_bytes, simulate_peak
+from oracles import brute_force_orders, random_dag, simulate_live_bytes, simulate_peak
 
 
 def chain_graph():
@@ -303,6 +307,70 @@ def test_min_peak_limit_exceeded():
     shapes = infer_shapes(g)
     with pytest.raises(EnumerationLimitError, match="default_order"):
         min_peak_order(g, shapes, limit=100)
+
+
+def test_min_peak_matches_oracle_on_random_graphs():
+    # reference: the first brute-force order with the minimal simulated peak
+    rng = random.Random(1910)
+    for _ in range(150):
+        g = random_dag(rng)
+        shapes = infer_shapes(g)
+        orders = brute_force_orders(g)
+        for in_place in (True, False):
+            peaks = [simulate_peak(g, shapes, o, in_place) for o in orders]
+            want = min(peaks)
+            got = min_peak_order(g, shapes, in_place=in_place)
+            assert got == (orders[peaks.index(want)], want)
+
+
+def four_by_three_graph():
+    # stem, 4 parallel fc branches of depth 3, concat: 12!/(3!)^4 = 369,600
+    # topological orders, far over the default limit
+    sizes = [256, 2048, 64, 1024, 128, 4096]
+    nodes = [fc("stem", "in", 512)]
+    tails = []
+    for b in range(4):
+        prev = "stem"
+        for j in range(3):
+            name = f"b{b}_{j}"
+            nodes.append(fc(name, prev, sizes[(b + 2 * j) % len(sizes)]))
+            prev = name
+        tails.append(prev)
+    nodes.append(concat("cat", *tails))
+    return graph("four_by_three", [inp("in", 1024)], nodes, ["cat"])
+
+
+def test_min_peak_four_branches_by_three_deep():
+    g = four_by_three_graph()
+    shapes = infer_shapes(g)
+    order, peak = min_peak_order(g, shapes)
+    check_order(g, order)
+    assert simulate_peak(g, shapes, order, True) == peak
+    assert peak <= simulate_peak(g, shapes, default_order(g), True)
+
+
+def test_min_peak_limit_counts_search_states():
+    # 8 independent nodes: every subset is an executed set, 2**8 states
+    inputs = [inp(f"i{k}", 16) for k in range(8)]
+    nodes = [fc(f"n{k}", f"i{k}", 8) for k in range(8)]
+    g = graph("wide", inputs, nodes, [n.name for n in nodes])
+    shapes = infer_shapes(g)
+    order, _ = min_peak_order(g, shapes, limit=256)
+    assert order == tuple(f"n{k}" for k in range(8))
+    with pytest.raises(EnumerationLimitError, match="default_order"):
+        min_peak_order(g, shapes, limit=255)
+
+
+def test_min_peak_rejects_cycle():
+    g = Graph(
+        name="loop",
+        inputs=(inp("x", 16),),
+        nodes=(fc("a", "x", 16), add("b", "a", "c"), relu("c", "b")),
+        outputs=("c",),
+    )
+    shapes = {t: TensorInfo(TensorShape((16,)), DType.I8) for t in g.tensor_names}
+    with pytest.raises(ValidationError, match="cycle detected involving node"):
+        min_peak_order(g, shapes)
 
 
 # ---------------------------------------------------------------------------
